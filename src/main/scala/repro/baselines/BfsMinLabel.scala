@@ -16,29 +16,21 @@ import repro.graph.{GraphOps, SpaceTracker}
 case object BfsMinLabel extends CcAlgorithm {
   override val name = "BFS"
 
-  private val MaxRounds = 2000000
-
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val raw    = GraphOps.asEdges(edges)
     val (b, _) = tracker.materialize("B", GraphOps.undirect(GraphOps.canonical(raw)))
-    var (l, lRows) = tracker.materialize("L0", GraphOps.vertices(raw).select(col("v"), col("v").as("r")))
-    var round  = 0
-    var done   = lRows == 0L
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
+    var (l, lRows) = tracker.materialize("L", GraphOps.vertices(raw).select(col("v"), col("v").as("r")))
+    val rounds = if (lRows == 0L) 0 else loop(2000000) { _ =>
       // Min of neighbours' current representatives.
       val nbrMin = b.join(l.select(col("v").as("lw"), col("r")), col("w") === col("lw"))
         .groupBy(col("v")).agg(min(col("r")).as("nr"))
       val improved = l.join(nbrMin, Seq("v"), "left_outer")
         .select(col("v"), least(col("r"), coalesce(col("nr"), col("r"))).as("r"),
                 (col("nr").isNotNull && col("nr") < col("r")).cast("int").as("changed"))
-      val (nl, _) = tracker.materialize(s"L$round", improved)
-      val changed = nl.agg(sum(col("changed"))).head().getLong(0)
-      tracker.drop(s"L${round - 1}")
+      val (nl, _) = tracker.materialize("L", improved)
       l = nl.select(col("v"), col("r"))
-      if (changed == 0L) done = true
+      nl.agg(sum(col("changed"))).head().getLong(0) == 0L
     }
-    CcRun(l, round, tracker)
+    CcRun(l, rounds, tracker)
   }
 }

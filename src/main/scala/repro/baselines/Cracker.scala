@@ -28,34 +28,29 @@ import repro.graph.{GraphOps, SpaceTracker}
 case object Cracker extends CcAlgorithm {
   override val name = "CR"
 
-  private val MaxRounds = 10000
-
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val spark = edges.sparkSession
     val raw   = GraphOps.asEdges(edges)
     val verts = GraphOps.vertices(raw).localCheckpoint(true)
 
     // Bidirectional, loop-free working graph.
-    var (g, gRows) = tracker.materialize("G0", GraphOps.undirect(GraphOps.canonical(raw)))
-    var gName = "G0"
-    var trees = List.empty[(DataFrame, String)] // accumulated tree-edge tables
-    var round = 0
-    while (gRows > 0L) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
+    val (g0, g0Rows) = tracker.materialize("G", GraphOps.undirect(GraphOps.canonical(raw)))
+    var g     = g0
+    var trees = List.empty[DataFrame] // tree-edge tables T_round, newest first
+    val rounds = if (g0Rows == 0L) 0 else loop(10000) { round =>
       // 1. Min-Selection: vmin over the closed neighbourhood, told to N[u].
       val m = g.groupBy(col("v")).agg(least(col("v"), min(col("w"))).as("vmin"))
       val h = g.join(m, "v").select(col("w").as("node"), col("vmin"))
         .union(m.select(col("v").as("node"), col("vmin")))
         .distinct()
-      val (hm, _) = tracker.materialize(s"H$round", h)
+      val (hm, _) = tracker.materialize("H", h)
 
       // 2. Pruning: per node, the min of the heard-of minima, and whether the
       // node itself is among them (i.e. survives as a seed candidate).
       val a = hm.groupBy(col("node")).agg(
         min(col("vmin")).as("vmin2"),
         max(when(col("vmin") === col("node"), 1).otherwise(0)).as("is_cand"))
-      val (am, _) = tracker.materialize(s"A$round", a)
+      val (am, _) = tracker.materialize("A", a)
 
       // Only pruned nodes enter the propagation tree. A never-pruned node is
       // its component's root and labels itself in the final coalesce — adding
@@ -64,44 +59,40 @@ case object Cracker extends CcAlgorithm {
       val pruned = am.where(col("is_cand") === 0)
         .select(col("node").as("child"), col("vmin2").as("parent"))
       val (t, _) = tracker.materialize(s"T$round", pruned)
-      trees ::= ((t, s"T$round"))
+      trees ::= t
 
       // Next graph: connect every heard-of minimum to the node's overall
       // minimum (bidirectional for the next Min-Selection).
       val nextDirected = hm.join(am, "node").where(col("vmin") =!= col("vmin2"))
         .select(col("vmin").as("v"), col("vmin2").as("w"))
-      val (ng, ngRows) = tracker.materialize(s"G$round", GraphOps.undirect(nextDirected).distinct())
-      tracker.drop(s"H$round"); tracker.drop(s"A$round"); tracker.drop(gName)
+      val (ng, ngRows) = tracker.materialize("G", GraphOps.undirect(nextDirected).distinct())
+      tracker.drop("H"); tracker.drop("A")
       tracker.recordRound(ngRows)
-      g = ng; gRows = ngRows; gName = s"G$round"
+      g = ng
+      ngRows == 0L
     }
-    tracker.drop(gName)
+    tracker.drop("G")
 
     // Propagate labels down the forest by pointer jumping.
-    val allTrees = trees.map(_._1) match {
+    val allTrees = trees match {
       case Nil          => spark.range(0).select(col("id").as("child"), col("id").as("parent"))
       case head :: tail => tail.foldLeft(head)(_ union _)
     }
     var (p, _) = tracker.materialize("P", allTrees)
-    trees.foreach { case (_, n) => tracker.drop(n) }
-    var hops  = 0
-    var stable = false
-    while (!stable) {
-      hops += 1
-      require(hops <= 64, s"$name label propagation did not converge")
+    (1 to rounds).foreach(i => tracker.drop(s"T$i"))
+    loop(64) { _ =>
       val gp = p.select(col("child").as("c2"), col("parent").as("gp"))
       val jumped = p.join(gp, p("parent") === gp("c2"), "left_outer")
         .select(col("child"), coalesce(col("gp"), col("parent")).as("parent"))
-      val (np, _) = tracker.materialize(s"P$hops", jumped)
+      val (np, _) = tracker.materialize("P", jumped)
       val changed = np.as("a").join(p.as("b"), col("a.child") === col("b.child"))
         .where(col("a.parent") =!= col("b.parent")).limit(1).count()
-      tracker.drop(if (hops == 1) "P" else s"P${hops - 1}")
       p = np
-      if (changed == 0L) stable = true
+      changed == 0L
     }
 
     val labels = verts.join(p.select(col("child").as("v"), col("parent").as("r")), Seq("v"), "left_outer")
       .select(col("v"), coalesce(col("r"), col("v")).as("r"))
-    CcRun(labels, round, tracker)
+    CcRun(labels, rounds, tracker)
   }
 }

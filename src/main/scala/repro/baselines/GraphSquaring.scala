@@ -16,8 +16,6 @@ import repro.graph.{GraphOps, SpaceTracker}
 case object GraphSquaring extends CcAlgorithm {
   override val name = "SQ"
 
-  private val MaxRounds = 100
-
   /** G ∪ G²: add (x, z) for every path x–y–z, canonicalised. */
   private def square(e: DataFrame): DataFrame = {
     val b   = GraphOps.undirect(e)
@@ -30,24 +28,20 @@ case object GraphSquaring extends CcAlgorithm {
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val raw   = GraphOps.asEdges(edges)
     val verts = GraphOps.vertices(raw).localCheckpoint(true)
-    var (e, eRows) = tracker.materialize("E0", GraphOps.canonical(raw))
-    var round = 0
-    var done  = eRows == 0L
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      val (ne, neRows) = tracker.materialize(s"E$round", square(e))
-      tracker.drop(s"E${round - 1}")
+    var (e, eRows) = tracker.materialize("E", GraphOps.canonical(raw))
+    val rounds = if (eRows == 0L) 0 else loop(100) { _ =>
+      val (ne, neRows) = tracker.materialize("E", square(e))
       tracker.recordRound(neRows)
       // The edge set only grows under ∪ G²; equal counts ⇒ fixpoint.
-      if (neRows == eRows) done = true
+      val done = neRows == eRows
       e = ne; eRows = neRows
+      done
     }
     // In the transitive closure, min over the closed neighbourhood is the
     // component minimum.
     val m = GraphOps.undirect(e).groupBy(col("v")).agg(least(col("v"), min(col("w"))).as("r"))
     val labels = verts.join(m, Seq("v"), "left_outer")
       .select(col("v"), coalesce(col("r"), col("v")).as("r"))
-    CcRun(labels, round, tracker)
+    CcRun(labels, rounds, tracker)
   }
 }

@@ -22,32 +22,26 @@ import repro.graph.{GraphOps, SpaceTracker}
 case object HashToMin extends CcAlgorithm {
   override val name = "HM"
 
-  private val MaxRounds = 10000
-
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val e     = GraphOps.asEdges(edges)
     val init  = GraphOps.undirect(e)
       .union(GraphOps.vertices(e).select(col("v"), col("v").as("w")))
       .distinct()
       .select(col("v"), col("w").as("u"))
-    var (c, cRows) = tracker.materialize("C0", init)
-    var round = 0
-    var done  = cRows == 0L
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
+    var (c, cRows) = tracker.materialize("C", init)
+    val rounds = if (cRows == 0L) 0 else loop(10000) { _ =>
       val m  = c.groupBy(col("v")).agg(min(col("u")).as("m"))
       val cm = c.join(m, "v") // (v, u, m)
       val toMin  = cm.select(col("m").as("v"), col("u"))
       val minTo  = cm.select(col("u").as("v"), col("m").as("u"))
-      val (nc, ncRows) = tracker.materialize(s"C$round", toMin.union(minTo).distinct())
+      val (nc, ncRows) = tracker.materialize("C", toMin.union(minTo).distinct())
       tracker.recordRound(ncRows)
       // Fixpoint test: nc ⊆ c and |nc| = |c|  ⇒  equal as sets.
-      if (ncRows == cRows && nc.except(c).isEmpty) done = true
-      tracker.drop(s"C${round - 1}")
+      val done = ncRows == cRows && nc.except(c).isEmpty
       c = nc; cRows = ncRows
+      done
     }
     val labels = c.groupBy(col("v")).agg(min(col("u")).as("r"))
-    CcRun(labels, round, tracker)
+    CcRun(labels, rounds, tracker)
   }
 }

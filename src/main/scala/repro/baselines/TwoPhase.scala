@@ -22,8 +22,6 @@ import repro.graph.{GraphOps, SpaceTracker}
 case object TwoPhase extends CcAlgorithm {
   override val name = "TP"
 
-  private val MaxRounds = 10000
-
   private def largeStar(e: DataFrame): DataFrame = {
     val b = GraphOps.undirect(e)
     val m = b.groupBy(col("v")).agg(least(col("v"), min(col("w"))).as("m"))
@@ -45,26 +43,21 @@ case object TwoPhase extends CcAlgorithm {
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val raw   = GraphOps.asEdges(edges)
     val verts = GraphOps.vertices(raw).localCheckpoint(true)
-    var (e, eRows) = tracker.materialize("E0", GraphOps.canonical(raw))
-    var eName = "E0"
-    var round = 0
-    var done  = eRows == 0L
-    while (!done) {
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      val (ls, _)        = tracker.materialize(s"L$round", largeStar(e))
-      val (ss, ssRows)   = tracker.materialize(s"S$round", smallStar(ls))
-      tracker.drop(s"L$round")
+    var (e, eRows) = tracker.materialize("E", GraphOps.canonical(raw))
+    // Each step is two rounds: one large-star and one small-star.
+    val rounds = if (eRows == 0L) 0 else 2 * loop(10000) { _ =>
+      val (ls, _)      = tracker.materialize("L", largeStar(e))
+      val (ss, ssRows) = tracker.materialize("E", smallStar(ls))
+      tracker.drop("L")
       tracker.recordRound(ssRows)
       val unchanged = ssRows == eRows && ss.except(e).isEmpty
-      tracker.drop(eName)
-      e = ss; eRows = ssRows; eName = s"S$round"
-      round += 2 // one large-star step + one small-star step
-      if (unchanged) done = true
+      e = ss; eRows = ssRows
+      unchanged
     }
     // Fixpoint edges are (leaf, centre) stars; every non-centre has one parent.
     val parents = e.groupBy(col("v")).agg(min(col("w")).as("p"))
     val labels = verts.join(parents, Seq("v"), "left_outer")
       .select(col("v"), coalesce(col("p"), col("v")).as("r"))
-    CcRun(labels, round, tracker)
+    CcRun(labels, rounds, tracker)
   }
 }

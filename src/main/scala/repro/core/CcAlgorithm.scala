@@ -33,4 +33,20 @@ trait CcAlgorithm {
   /** Convenience overload with a fresh unbounded tracker. */
   final def run(edges: DataFrame, seed: Long = 42L): CcRun =
     run(edges, new SpaceTracker(algoName = name), seed)
+
+  /** The round loop every implementation shares: runs `step(1)`, `step(2)`,
+    * … until a step returns true (converged) and returns the number of steps
+    * run. `maxRounds` is a safety valve, not a tuning knob: exceeding it
+    * fails the run.
+    */
+  protected final def loop(maxRounds: Int)(step: Int => Boolean): Int = {
+    var round = 0
+    var done  = false
+    while (!done) {
+      round += 1
+      require(round <= maxRounds, s"$name did not converge in $maxRounds rounds")
+      done = step(round)
+    }
+    round
+  }
 }

@@ -1,8 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.Column
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.gf.{Gf64, ModP}
+import repro.graph.SpaceTracker
 import scala.util.Random
 
 /** Per-round random bijection h_i used to order vertices (§V-C).
@@ -22,20 +23,44 @@ sealed trait Randomisation {
   def nextRound(rng: Random): RoundHash
 }
 
-/** The drawn randomness of one round, exposing h as a Column transform. */
-trait RoundHash {
-  /** h_i applied to a vertex-ID column (used both for picking representatives
-    * and for relabelling unmatched rows during composition).
+/** A method whose rounds compose in closed form (Fig. 4's accumulator). */
+sealed trait AffineRandomisation extends Randomisation {
+  def nextRound(rng: Random): AffineRoundHash
+}
+
+/** The drawn randomness of one round: how it picks representatives and how
+  * it relabels a vertex that has no representative this round.
+  */
+sealed trait RoundHash {
+  /** Materialise the representative table R_i(v, r) of the edge table `e`
+    * under `name`.
     */
+  def representatives(e: DataFrame, tracker: SpaceTracker, name: String): (DataFrame, Long)
+  /** The label Fig. 3's composition gives a vertex that went isolated in an
+    * earlier round (and so has no row in R_i).
+    */
+  def relabel(r: Column): Column
+}
+
+/** A round whose h_i is a Column transform. The representative IS the
+  * h-value, `select v, least(h(v), min(h(w))) from E group by v` — the
+  * paper's performance optimisation that relabels vertices each round (valid
+  * because h_i is a bijection).
+  */
+sealed trait ColumnHash extends RoundHash {
+  /** h_i applied to a vertex-ID column. */
   def hash(x: Column): Column
-  /** h_i applied driver-side (Fast variant's (A,B) accumulator arithmetic). */
-  def hashLong(x: Long): Long
+
+  def representatives(e: DataFrame, tracker: SpaceTracker, name: String): (DataFrame, Long) =
+    tracker.materialize(name, e.groupBy(col("v")).agg(least(hash(col("v")), min(hash(col("w")))).as("r")))
+
+  def relabel(r: Column): Column = hash(r)
 }
 
 /** Affine rounds compose in closed form: needed by the Fast variant's
   * back-to-front accumulator (Fig. 4: `(A,B) ← (A·α, A·β + B)`).
   */
-trait AffineRoundHash extends RoundHash {
+sealed trait AffineRoundHash extends ColumnHash {
   def a: Long
   def b: Long
   /** `this ∘ inner` (apply inner first, then this). */
@@ -45,11 +70,10 @@ trait AffineRoundHash extends RoundHash {
 /** Finite fields method over GF(2^64) — the method used in all the paper's
   * experiments, via the `gf64_axb` engine function (paper's C UDF `axplusb`).
   */
-case object FiniteField64 extends Randomisation {
+case object FiniteField64 extends AffineRandomisation {
   val name = "gf64"
   final case class Round(a: Long, b: Long) extends AffineRoundHash {
     def hash(x: Column): Column = call_function("gf64_axb", lit(a), x.cast("long"), lit(b))
-    def hashLong(x: Long): Long = Gf64.axb(a, x, b)
     /** Fig. 4 accumulator step: (A,B) ← (A·α, A·β + B) over GF(2^64). */
     def compose(inner: AffineRoundHash): AffineRoundHash =
       Round(Gf64.axb(a, inner.a, 0L), Gf64.axb(a, inner.b, b))
@@ -59,17 +83,15 @@ case object FiniteField64 extends Randomisation {
     while (a == 0L) a = rng.nextLong()
     Round(a, rng.nextLong())
   }
-  val identity: Round = Round(Gf64.One, 0L)
 }
 
 /** Finite fields method over GF(p), p = 2^31 − 1 — the paper's "SQL-only"
   * alternative (plain modular arithmetic, no UDF). Vertex IDs must be < p.
   */
-case object FinitePrimeField extends Randomisation {
+case object FinitePrimeField extends AffineRandomisation {
   val name = "modp"
   final case class Round(a: Long, b: Long) extends AffineRoundHash {
     def hash(x: Column): Column = pmod(lit(a) * x.cast("long") + lit(b), lit(ModP.P))
-    def hashLong(x: Long): Long = ModP.axb(a, x, b)
     def compose(inner: AffineRoundHash): AffineRoundHash =
       Round(a * inner.a % ModP.P, (a * inner.b + b) % ModP.P)
   }
@@ -78,7 +100,6 @@ case object FinitePrimeField extends Randomisation {
     val b = math.floorMod(rng.nextLong(), ModP.P)          // in [0, p)
     Round(a, b)
   }
-  val identity: Round = Round(1L, 0L)
 }
 
 /** Encryption method (§V-C): pseudo-random bijection via a 64-bit block
@@ -87,11 +108,10 @@ case object FinitePrimeField extends Randomisation {
   */
 case object Encryption extends Randomisation {
   val name = "xtea"
-  final case class Round(k0: Int, k1: Int, k2: Int, k3: Int) extends RoundHash {
+  final case class Round(k0: Int, k1: Int, k2: Int, k3: Int) extends ColumnHash {
     def hash(x: Column): Column =
       call_function("xtea_enc", x.cast("long"),
         lit(k0.toLong), lit(k1.toLong), lit(k2.toLong), lit(k3.toLong))
-    def hashLong(x: Long): Long = repro.gf.Xtea.encrypt(x, k0, k1, k2, k3)
   }
   def nextRound(rng: Random): Round = Round(rng.nextInt(), rng.nextInt(), rng.nextInt(), rng.nextInt())
 }
@@ -104,11 +124,22 @@ case object Encryption extends Randomisation {
 case object RandomReals extends Randomisation {
   val name = "randreal"
   final case class Round(seed: Long) extends RoundHash {
-    // Not used as a column transform: RC builds an explicit H table instead.
-    def hash(x: Column): Column =
-      throw new UnsupportedOperationException("random reals uses an explicit per-vertex table")
-    def hashLong(x: Long): Long =
-      throw new UnsupportedOperationException("random reals has no driver-side closed form")
+    /** Materialise the random table H(v, h) under "H", then take each
+      * vertex's argmin of h over its closed neighbourhood.
+      */
+    def representatives(e: DataFrame, tracker: SpaceTracker, name: String): (DataFrame, Long) = {
+      val verts     = e.select(col("v")).distinct()
+      val (hTab, _) = tracker.materialize("H", verts.select(col("v"), rand(seed).as("h")))
+      val nbrs = e.join(hTab.select(col("v").as("hv"), col("h")), col("w") === col("hv"))
+        .select(col("v"), col("w"), col("h"))
+      val self = hTab.select(col("v"), col("v").as("w"), col("h"))
+      val r    = nbrs.union(self).groupBy(col("v")).agg(min_by(col("w"), col("h")).as("r"))
+      val out  = tracker.materialize(name, r)
+      tracker.drop("H")
+      out
+    }
+    /** Argmin keeps original IDs: no relabelling. */
+    def relabel(r: Column): Column = r
   }
   def nextRound(rng: Random): Round = Round(rng.nextLong())
 }

@@ -34,9 +34,6 @@ object Variant {
 final case class RandomisedContraction(method: Randomisation = FiniteField64,
                                        variant: Variant = Variant.Fast) extends CcAlgorithm {
 
-  /** Safety valve only — the expected round count is logarithmic. */
-  private val MaxRounds = 10000
-
   override def name: String = {
     val base = variant match {
       case Variant.Fast          => "RC"
@@ -50,43 +47,19 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
     GfFunctions.ensureRegistered(spark)
     val rng = new Random(seed)
 
-    val (e0, e0Rows) = tracker.materialize("E0", GraphOps.undirect(GraphOps.asEdges(edges)))
+    val (e0, e0Rows) = tracker.materialize("E", GraphOps.undirect(GraphOps.asEdges(edges)))
     if (e0Rows == 0L) return CcRun(emptyLabels(spark), 0, tracker)
 
-    variant match {
-      case Variant.Deterministic => runDeterministic(e0, tracker, rng)
-      case Variant.Fast          => runFast(e0, tracker, rng)
+    (variant, method) match {
+      case (Variant.Deterministic, _)             => runDeterministic(e0, tracker, rng)
+      case (Variant.Fast, m: AffineRandomisation) => runFast(m, e0, tracker, rng)
+      case (Variant.Fast, _) => throw new IllegalArgumentException(
+        s"Fast variant (Fig. 4) needs an affine method for the (A,B) accumulator; ${method.name} is not")
     }
   }
 
   private def emptyLabels(spark: SparkSession): DataFrame =
     spark.range(0).select(col("id").as("v"), col("id").as("r"))
-
-  /** Representative table R: `select v, least(h(v), min(h(w))) from E group by v`.
-    *
-    * For the min-based methods the representative IS the h-value — the paper's
-    * performance optimisation that relabels vertices each round (valid because
-    * h_i is a bijection). The random-reals method instead materialises the
-    * per-vertex random table and takes an argmin, keeping original IDs.
-    */
-  private def representatives(e: DataFrame, h: RoundHash, round: Int,
-                              tracker: SpaceTracker, rng: Random): (DataFrame, Long) =
-    method match {
-      case RandomReals =>
-        val verts       = e.select(col("v")).distinct()
-        val (hTab, _)   = tracker.materialize(s"H$round", verts.select(col("v"), rand(rng.nextLong()).as("h")))
-        val nbrs = e.join(hTab.select(col("v").as("hv"), col("h")), col("w") === col("hv"))
-          .select(col("v"), col("w"), col("h"))
-        val self = hTab.select(col("v"), col("v").as("w"), col("h"))
-        val r    = nbrs.union(self).groupBy(col("v")).agg(min_by(col("w"), col("h")).as("r"))
-        val out  = tracker.materialize(s"R$round", r)
-        tracker.drop(s"H$round")
-        out
-      case _ =>
-        val r = e.groupBy(col("v"))
-          .agg(least(h.hash(col("v")), min(h.hash(col("w")))).as("r"))
-        tracker.materialize(s"R$round", r)
-    }
 
   /** Contraction: map both endpoints through R, drop loops and duplicates.
     * E stays bidirectional because the input was (both orientations map).
@@ -101,100 +74,65 @@ final case class RandomisedContraction(method: Randomisation = FiniteField64,
       .distinct()
   }
 
-  /** Compose the running table L with this round's R (Fig. 3's inner join):
-    * matched rows take the new representative; unmatched rows (vertices that
-    * went isolated in an earlier round) only get relabelled by h_i.
+  /** The forward loop Figs. 3 and 4 share. Per round: draw h_i, build R_i
+    * under `rName(i)`, contract E (replacing E_{i-1}), record |E_i|, then
+    * hand R_i and h_i to `fold`. Returns the number of rounds.
     */
-  private def composeL(l: DataFrame, r: DataFrame, h: RoundHash): DataFrame = {
-    val rr = r.select(col("v").as("c_v"), col("r").as("c_r"))
-    val relabelled = method match {
-      case RandomReals => col("r") // argmin keeps original IDs: no relabelling
-      case _           => h.hash(col("r"))
+  private def contractAll[H <: RoundHash](e0: DataFrame, tracker: SpaceTracker, draw: () => H,
+                                          rName: Int => String)
+                                         (fold: (Int, DataFrame, H) => Unit): Int = {
+    var e = e0
+    loop(10000) { i =>
+      val h          = draw()
+      val (r, _)     = h.representatives(e, tracker, rName(i))
+      val (t, tRows) = tracker.materialize("E", contract(e, r))
+      tracker.recordRound(tRows)
+      e = t
+      fold(i, r, h)
+      tRows == 0L
     }
-    l.join(rr, col("r") === col("c_v"), "left_outer")
-      .select(col("v"), coalesce(col("c_r"), relabelled).as("r"))
   }
 
-  /** Fig. 3: deterministic-space variant. */
+  /** Fig. 3: deterministic-space variant. R_1 becomes L without a rewrite;
+    * every later R_i is folded into L by an inner join: matched rows take
+    * the new representative, unmatched rows (vertices that went isolated in
+    * an earlier round) are only relabelled by h_i.
+    */
   private def runDeterministic(e0: DataFrame, tracker: SpaceTracker, rng: Random): CcRun = {
-    var e      = e0
-    var eName  = "E0"
     var l: DataFrame = null
-    var lName  = ""
-    var round  = 0
-    var done   = false
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      val h            = method.nextRound(rng)
-      val (r, _)       = representatives(e, h, round, tracker, rng)
-      val (t, tRows)   = tracker.materialize(s"E$round", contract(e, r))
-      tracker.drop(eName)
-      tracker.recordRound(tRows)
-      e = t; eName = s"E$round"
-      if (l == null) {
-        l = r; lName = s"R$round" // first round: L := R (rename, no rewrite)
-      } else {
-        val (nl, _) = tracker.materialize(s"L$round", composeL(l, r, h))
-        tracker.drop(lName)
-        tracker.drop(s"R$round")
-        l = nl; lName = s"L$round"
-      }
-      if (tRows == 0L) done = true
+    val rounds = contractAll(e0, tracker, () => method.nextRound(rng), i => if (i == 1) "L" else "R") {
+      (i, r, h) =>
+        if (i == 1) l = r
+        else {
+          val rr = r.select(col("v").as("c_v"), col("r").as("c_r"))
+          l = tracker.materialize("L", l.join(rr, col("r") === col("c_v"), "left_outer")
+            .select(col("v"), coalesce(col("c_r"), h.relabel(col("r"))).as("r")))._1
+          tracker.drop("R")
+        }
     }
-    CcRun(l.select(col("v"), col("r")), round, tracker)
+    CcRun(l.select(col("v"), col("r")), rounds, tracker)
   }
 
-  /** Fig. 4: fast variant — keep every R_i, compose back-to-front with the
-    * affine accumulator so each join is small-to-large.
+  /** Fig. 4: fast variant — keep every R_i, then compose back-to-front,
+    * R_i := R_i ⟕ R_{i+1}, so each join is small-to-large. Unmatched rows get
+    * the accumulated relabelling h_k ∘ … ∘ h_{i+1}, an affine map in closed
+    * form.
     */
-  private def runFast(e0: DataFrame, tracker: SpaceTracker, rng: Random): CcRun = {
+  private def runFast(m: AffineRandomisation, e0: DataFrame, tracker: SpaceTracker,
+                      rng: Random): CcRun = {
     val rs     = ArrayBuffer.empty[(DataFrame, AffineRoundHash)]
-    var e      = e0
-    var eName  = "E0"
-    var round  = 0
-    var done   = false
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      val h = method.nextRound(rng) match {
-        case a: AffineRoundHash => a
-        case other => throw new IllegalArgumentException(
-          s"Fast variant (Fig. 4) needs an affine method for the (A,B) accumulator; ${method.name} is not")
-      }
-      val (r, _)     = representatives(e, h, round, tracker, rng)
-      rs += ((r, h))
-      val (t, tRows) = tracker.materialize(s"E$round", contract(e, r))
-      tracker.drop(eName)
-      tracker.recordRound(tRows)
-      e = t; eName = s"E$round"
-      if (tRows == 0L) done = true
+    val rounds = contractAll(e0, tracker, () => m.nextRound(rng), i => s"R$i") {
+      (_, r, h) => rs += ((r, h))
     }
-
-    // Back-to-front composition: R_i := R_i ⟕ R_{i+1}, unmatched rows get the
-    // accumulated relabelling h_k ∘ … ∘ h_{i+1}.
-    val k = rs.length
-    var acc: AffineRoundHash = method match {
-      case FiniteField64    => FiniteField64.identity
-      case FinitePrimeField => FinitePrimeField.identity
-      case other            => throw new IllegalStateException(s"unreachable: ${other.name}")
-    }
-    var cur     = rs(k - 1)._1
-    var curName = s"R$k"
-    var i       = k - 1
-    while (i >= 1) {
-      acc = acc.compose(rs(i)._2) // h_{i+1} in 1-indexed terms
-      val prev     = rs(i - 1)._1
-      val prevName = s"R$i"
-      val next     = cur.select(col("v").as("c_v"), col("r").as("c_r"))
-      val joined = prev.join(next, col("r") === col("c_v"), "left_outer")
+    val (labels, _) = (1 until rounds).foldRight(rs.last) { case (i, (next, acc)) =>
+      val (r, h) = rs(i - 1)
+      val nr     = next.select(col("v").as("c_v"), col("r").as("c_r"))
+      val joined = r.join(nr, col("r") === col("c_v"), "left_outer")
         .select(col("v"), coalesce(col("c_r"), acc.hash(col("r"))).as("r"))
-      val (nr, _) = tracker.materialize(s"C$i", joined)
-      tracker.drop(prevName)
-      tracker.drop(curName)
-      cur = nr; curName = s"C$i"
-      i -= 1
+      val (c, _) = tracker.materialize(s"R$i", joined)
+      tracker.drop(s"R${i + 1}")
+      (c, acc.compose(h))
     }
-    CcRun(cur.select(col("v"), col("r")), k, tracker)
+    CcRun(labels.select(col("v"), col("r")), rounds, tracker)
   }
 }

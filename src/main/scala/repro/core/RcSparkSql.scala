@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.gf.GfFunctions
 import repro.graph.{GraphOps, SpaceTracker}
+import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
 /** Randomised Contraction executed as literal SQL text (Appendix A, Fig. 8).
@@ -19,14 +20,13 @@ import scala.util.Random
 case object RcSparkSql extends CcAlgorithm {
   override val name = "RC-sql"
 
-  private val MaxRounds = 10000
-
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val spark = edges.sparkSession
     GfFunctions.ensureRegistered(spark)
     val rng = new Random(seed)
     val tag = s"rc_${math.abs(rng.nextLong()).toString.take(8)}" // unique view namespace
 
+    /** `create table view as sql`, replacing a live table of that name. */
     def mat(view: String, sql: String): Long = {
       val (df, rows) = tracker.materialize(view, spark.sql(sql))
       df.createOrReplaceTempView(view)
@@ -39,46 +39,30 @@ case object RcSparkSql extends CcAlgorithm {
     if (e0Rows == 0L)
       return CcRun(spark.range(0).select(col("id").as("v"), col("id").as("r")), 0, tracker)
 
-    var round = 0
-    val stack = scala.collection.mutable.Stack.empty[(Long, Long)]
-    var done  = false
-    while (!done) {
-      round += 1
-      require(round <= MaxRounds, s"$name did not converge in $MaxRounds rounds")
-      var a = 0L
-      while (a == 0L) a = rng.nextLong()
-      val b = rng.nextLong()
-      stack.push((a, b))
-      mat(s"${tag}_ccreps$round",
-        s"""select v, least(gf64_axb($a, v, $b), min(gf64_axb($a, w, $b))) as rep
+    val hs = ArrayBuffer.empty[FiniteField64.Round]
+    val rounds = loop(10000) { i =>
+      val h = FiniteField64.nextRound(rng)
+      hs += h
+      mat(s"${tag}_ccreps$i",
+        s"""select v, least(gf64_axb(${h.a}, v, ${h.b}), min(gf64_axb(${h.a}, w, ${h.b}))) as rep
            |from ${tag}_ccgraph group by v""".stripMargin)
-      val rows = mat(s"${tag}_ccgraph2",
+      val rows = mat(s"${tag}_ccgraph",
         s"""select distinct r1.rep as v, r2.rep as w
-           |from ${tag}_ccgraph g, ${tag}_ccreps$round r1, ${tag}_ccreps$round r2
+           |from ${tag}_ccgraph g, ${tag}_ccreps$i r1, ${tag}_ccreps$i r2
            |where g.v = r1.v and g.w = r2.v and r1.rep != r2.rep""".stripMargin)
-      tracker.drop(s"${tag}_ccgraph")
       tracker.recordRound(rows)
-      spark.sql(s"select * from ${tag}_ccgraph2").createOrReplaceTempView(s"${tag}_ccgraph")
-      tracker.rename(s"${tag}_ccgraph2", s"${tag}_ccgraph")
-      if (rows == 0L) done = true
+      rows == 0L
     }
 
     // Back-to-front composition with the (A,B) accumulator (Fig. 8, 2nd loop).
-    var (accA, accB) = (repro.gf.Gf64.One, 0L)
-    var i = round
-    while (i > 1) {
-      val (alpha, beta) = stack.pop()
-      val (na, nb) = (repro.gf.Gf64.axb(accA, alpha, 0L), repro.gf.Gf64.axb(accA, beta, accB))
-      accA = na; accB = nb
-      i -= 1
-      mat(s"${tag}_tmp",
-        s"""select r1.v as v, coalesce(r2.rep, gf64_axb($accA, r1.rep, $accB)) as rep
+    (1 until rounds).foldRight(hs.last: AffineRoundHash) { (i, acc) =>
+      mat(s"${tag}_ccreps$i",
+        s"""select r1.v as v, coalesce(r2.rep, gf64_axb(${acc.a}, r1.rep, ${acc.b})) as rep
            |from ${tag}_ccreps$i r1 left outer join ${tag}_ccreps${i + 1} r2 on r1.rep = r2.v""".stripMargin)
-      tracker.drop(s"${tag}_ccreps$i"); tracker.drop(s"${tag}_ccreps${i + 1}")
-      spark.sql(s"select * from ${tag}_tmp").createOrReplaceTempView(s"${tag}_ccreps$i")
-      tracker.rename(s"${tag}_tmp", s"${tag}_ccreps$i")
+      tracker.drop(s"${tag}_ccreps${i + 1}")
+      acc.compose(hs(i - 1))
     }
     val labels = spark.sql(s"select v, rep as r from ${tag}_ccreps1")
-    CcRun(labels.localCheckpoint(true), round, tracker)
+    CcRun(labels.localCheckpoint(true), rounds, tracker)
   }
 }

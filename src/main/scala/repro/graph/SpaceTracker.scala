@@ -21,18 +21,24 @@ final case class BlowUpException(algo: String, liveRows: Long, capRows: Long)
   *   - total rows ever written          → Table V "total gigabytes written"
   *     (what a transaction would have to retain).
   *
+  * Tables are named by role ("E", "L", ...), not by round. Materialising a
+  * name that is already live is the paper's per-round idiom
+  * `create table X2 …; drop table X; alter table X2 rename to X`: the new
+  * table is created while the old one still exists, so the peak counts both,
+  * `written` counts only the new one, and afterwards only the new one is live.
+  *
   * All tables in every algorithm here are pairs of int64, so bytes are
   * rows * 16 — compression constants cancel in the input-relative ratios
   * EXPERIMENTS.md compares.
   */
-final class SpaceTracker(val bytesPerRow: Long = 16L, val capRows: Long = Long.MaxValue,
-                         val algoName: String = "") {
+final class SpaceTracker(val capRows: Long = Long.MaxValue, val algoName: String = "") {
   private val live               = mutable.LinkedHashMap.empty[String, Long]
   private var maxLive            = 0L
   private var written            = 0L
   private val roundRowsBuf       = mutable.ArrayBuffer.empty[Long]
 
-  /** Materialise a DataFrame (truncating lineage) and record its size.
+  /** Materialise a DataFrame (truncating lineage) and record its size under
+    * `name`, replacing the live table of that name if there is one.
     *
     * `localCheckpoint` alone is not enough: Spark copies the *estimated*
     * statistics of the original plan onto the checkpointed LogicalRDD
@@ -51,29 +57,26 @@ final class SpaceTracker(val bytesPerRow: Long = 16L, val capRows: Long = Long.M
     (out, rows)
   }
 
-  /** Record creation of a table of `rows` rows under `name`. */
+  /** Record creation of a table of `rows` rows under `name`; a live table of
+    * the same name is dropped only after the new one has been counted.
+    */
   def create(name: String, rows: Long): Unit = {
-    live(name) = rows
     written += rows
-    val total = live.valuesIterator.sum
+    val total = liveRows + rows
     if (total > maxLive) maxLive = total
     if (total > capRows) throw BlowUpException(algoName, total, capRows)
+    live(name) = rows
   }
 
-  /** Record dropping the table `name` (space is freed). */
-  def drop(name: String): Unit = live.remove(name)
-
-  /** Record `ALTER TABLE old RENAME TO new` — no data written or freed. */
-  def rename(oldName: String, newName: String): Unit =
-    live.remove(oldName).foreach(rows => live(newName) = rows)
+  /** Record dropping the live table `name` (space is freed). */
+  def drop(name: String): Unit =
+    require(live.remove(name).isDefined, s"$algoName dropped table $name, which is not live")
 
   /** Record the edge-table size after a contraction round (shrink telemetry). */
   def recordRound(edgeRows: Long): Unit = roundRowsBuf += edgeRows
 
   def maxLiveRows: Long        = maxLive
   def totalWrittenRows: Long   = written
-  def maxLiveBytes: Long       = maxLive * bytesPerRow
-  def totalWrittenBytes: Long  = written * bytesPerRow
   def liveRows: Long           = live.valuesIterator.sum
   def roundEdgeRows: Seq[Long] = roundRowsBuf.toSeq
 }

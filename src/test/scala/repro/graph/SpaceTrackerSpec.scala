@@ -17,21 +17,25 @@ class SpaceTrackerSpec extends ReproSpec {
     assert(t.totalWrittenRows == 160L) // drops never reduce total written
   }
 
-  test("rename moves rows without writing") {
+  test("re-materialising a live name creates the new table, then drops the old") {
     val t = new SpaceTracker
-    t.create("a", 100L)
-    t.rename("a", "b")
-    assert(t.liveRows == 100L)
-    assert(t.totalWrittenRows == 100L)
-    t.drop("b")
-    assert(t.liveRows == 0L)
+    t.create("x", 5L)
+    t.materialize("e", spark.range(100).selectExpr("id as v", "id as w"))
+    t.materialize("e", spark.range(30).selectExpr("id as v", "id as w"))
+    assert(t.maxLiveRows == 135L)      // old and new e were live together
+    assert(t.totalWrittenRows == 135L) // the old e was not written again
+    assert(t.liveRows == 35L)          // only the new e is live
+    t.drop("e")
+    assert(t.liveRows == 5L)
   }
 
-  test("bytes are rows times bytesPerRow") {
-    val t = new SpaceTracker(bytesPerRow = 16L)
-    t.create("a", 10L)
-    assert(t.maxLiveBytes == 160L)
-    assert(t.totalWrittenBytes == 160L)
+  test("dropping a table that is not live fails, naming table and algorithm") {
+    val t = new SpaceTracker(algoName = "X")
+    t.create("a", 1L)
+    t.drop("a")
+    val ex = intercept[IllegalArgumentException](t.drop("a"))
+    assert(ex.getMessage.contains("X") && ex.getMessage.contains("a"))
+    assert(intercept[IllegalArgumentException](t.drop("typo")).getMessage.contains("typo"))
   }
 
   test("cap violation throws BlowUpException") {

@@ -1,9 +1,12 @@
 package repro.harness
 
+import org.apache.spark.sql.DataFrame
 import repro.ReproSpec
 import repro.baselines.HashToMin
-import repro.core.RandomisedContraction
+import repro.core.{CcAlgorithm, CcRun, RandomisedContraction}
 import repro.datasets.{BenchDataset, Generators}
+import repro.graph.SpaceTracker
+import repro.testutil.Graphs
 
 class HarnessSpec extends ReproSpec {
 
@@ -37,6 +40,22 @@ class HarnessSpec extends ReproSpec {
     val stats = BenchHarness.prepare(spark, tinyPath.build)
     val r     = BenchHarness.runOne(stats, "tiny-path", HashToMin)
     assert(r.status == "—", s"expected blow-up, got ${r.status} with max=${r.maxLiveRows}")
+  }
+
+  test("runOne marks a labelling 'BAD' when one vertex sits in the wrong component") {
+    // Components {1, 2, 3} and {10, 11, 12}; the stub moves 3 into the second,
+    // so its vertex and component counts still match.
+    val edges = Seq((1L, 2L), (2L, 3L), (10L, 11L), (11L, 12L))
+    object MovesOneVertex extends CcAlgorithm {
+      val name = "stub"
+      def run(e: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
+        val labels = Seq(1L -> 1L, 2L -> 1L, 3L -> 10L, 10L -> 10L, 11L -> 10L, 12L -> 10L)
+        CcRun(Graphs.toDf(spark, labels).toDF("v", "r"), 1, tracker)
+      }
+    }
+    val stats = BenchHarness.prepare(spark, sp => Graphs.toDf(sp, edges))
+    assert((stats.vertices, stats.components) == ((6L, 2L)))
+    assert(BenchHarness.runOne(stats, "two-paths", MovesOneVertex).status == "BAD")
   }
 
   test("sweep covers all dataset × algorithm cells") {
