@@ -62,7 +62,6 @@ case object RcSparkSql extends CcAlgorithm {
       tracker.drop(s"${tag}_ccreps${i + 1}")
       acc.compose(hs(i - 1))
     }
-    val labels = spark.sql(s"select v, rep as r from ${tag}_ccreps1")
-    CcRun(labels.localCheckpoint(true), rounds, tracker)
+    CcRun(spark.sql(s"select v, rep as r from ${tag}_ccreps1"), rounds, tracker)
   }
 }

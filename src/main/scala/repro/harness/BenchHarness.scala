@@ -89,10 +89,4 @@ object BenchHarness {
       stats.edges.unpersist()
       res
     }
-
-  /** One cheap RC run so JIT/codegen warm-up is not billed to the first cell. */
-  def warmup(spark: SparkSession): Unit = {
-    val tiny = repro.datasets.Generators.rmat(spark, scale = 8, nEdges = 2000)
-    tableAlgos.foreach(_.run(tiny, seed = 1L).labels.count())
-  }
 }

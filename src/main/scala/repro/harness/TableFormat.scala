@@ -8,18 +8,11 @@ import repro.datasets.BenchDataset
   */
 object TableFormat {
 
-  /** `<repo root>/bench/results` — forked test JVMs run with the subproject
-    * directory as cwd, so walk up to the directory holding build.sbt first.
+  /** Writes `content` to `bench/results/<fileName>` under the working
+    * directory (the repository root under `sbt runMain`).
     */
-  def resultsDir: java.nio.file.Path = {
-    var dir = Paths.get(sys.props("user.dir")).toAbsolutePath
-    while (dir.getParent != null && !Files.exists(dir.resolve("build.sbt")))
-      dir = dir.getParent
-    dir.resolve("bench").resolve("results")
-  }
-
   def save(fileName: String, content: String): Unit = {
-    val dir = resultsDir
+    val dir = Paths.get("bench", "results")
     Files.createDirectories(dir)
     Files.write(dir.resolve(fileName), content.getBytes("UTF-8"),
       StandardOpenOption.CREATE, StandardOpenOption.TRUNCATE_EXISTING)
@@ -50,17 +43,17 @@ object TableFormat {
     render("Dataset" +: algos, grid(results, algos, r => f"${r.seconds}%.1f"))
 
   /** Table IV layout: max space (MB-equivalents, rows × 16 B) + input size. */
-  def tableIV(results: Seq[BenchResult], algos: Seq[String]): String = {
-    val inputs = results.groupBy(_.dataset).view.mapValues(_.head.inputMb).toMap
-    val g = grid(results, algos, r => f"${r.maxMb}%.1f")
-    render(Seq("Dataset", "input MB") ++ algos,
-      g.map(r => Seq(r.head, f"${inputs(r.head)}%.1f") ++ r.tail))
-  }
+  def tableIV(results: Seq[BenchResult], algos: Seq[String]): String =
+    spaceTable(results, algos, _.maxMb)
 
   /** Table V layout: total MB written + input size. */
-  def tableV(results: Seq[BenchResult], algos: Seq[String]): String = {
+  def tableV(results: Seq[BenchResult], algos: Seq[String]): String =
+    spaceTable(results, algos, _.writtenMb)
+
+  private def spaceTable(results: Seq[BenchResult], algos: Seq[String],
+                         mb: BenchResult => Double): String = {
     val inputs = results.groupBy(_.dataset).view.mapValues(_.head.inputMb).toMap
-    val g = grid(results, algos, r => f"${r.writtenMb}%.1f")
+    val g = grid(results, algos, r => f"${mb(r)}%.1f")
     render(Seq("Dataset", "input MB") ++ algos,
       g.map(r => Seq(r.head, f"${inputs(r.head)}%.1f") ++ r.tail))
   }

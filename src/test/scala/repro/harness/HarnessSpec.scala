@@ -11,12 +11,23 @@ import repro.testutil.Graphs
 class HarnessSpec extends ReproSpec {
 
   private def tinyRmat = BenchDataset("tiny-rmat",
-    sp => Generators.rmat(sp, scale = 8, nEdges = 600),
-    "-", "-", "-", "-", "-", "-", "-")
+    sp => Generators.rmat(sp, scale = 8, nEdges = 600), "-", "-", "-")
 
   private def tinyPath = BenchDataset("tiny-path",
-    sp => Generators.path(sp, 2500),
-    "-", "-", "-", "-", "-", "-", "-")
+    sp => Generators.path(sp, 2500), "-", "-", "-")
+
+  // Components {1, 2, 3} and {10, 11, 12}; MovesOneVertex moves 3 into the
+  // second, so its vertex and component counts still match.
+  private def twoPaths = BenchDataset("two-paths",
+    sp => Graphs.toDf(sp, Seq((1L, 2L), (2L, 3L), (10L, 11L), (11L, 12L))), "-", "-", "-")
+
+  private object MovesOneVertex extends CcAlgorithm {
+    val name = "stub"
+    def run(e: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
+      val labels = Seq(1L -> 1L, 2L -> 1L, 3L -> 10L, 10L -> 10L, 11L -> 10L, 12L -> 10L)
+      CcRun(Graphs.toDf(spark, labels).toDF("v", "r"), 1, tracker)
+    }
+  }
 
   test("prepare computes exact dataset statistics") {
     val stats = BenchHarness.prepare(spark, tinyPath.build)
@@ -43,27 +54,35 @@ class HarnessSpec extends ReproSpec {
   }
 
   test("runOne marks a labelling 'BAD' when one vertex sits in the wrong component") {
-    // Components {1, 2, 3} and {10, 11, 12}; the stub moves 3 into the second,
-    // so its vertex and component counts still match.
-    val edges = Seq((1L, 2L), (2L, 3L), (10L, 11L), (11L, 12L))
-    object MovesOneVertex extends CcAlgorithm {
-      val name = "stub"
-      def run(e: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
-        val labels = Seq(1L -> 1L, 2L -> 1L, 3L -> 10L, 10L -> 10L, 11L -> 10L, 12L -> 10L)
-        CcRun(Graphs.toDf(spark, labels).toDF("v", "r"), 1, tracker)
-      }
-    }
-    val stats = BenchHarness.prepare(spark, sp => Graphs.toDf(sp, edges))
+    val stats = BenchHarness.prepare(spark, twoPaths.build)
     assert((stats.vertices, stats.components) == ((6L, 2L)))
     assert(BenchHarness.runOne(stats, "two-paths", MovesOneVertex).status == "BAD")
   }
 
   test("sweep covers all dataset × algorithm cells") {
-    val res = BenchHarness.sweep(spark, Seq(tinyRmat),
+    val report = PaperTables.tablesIIIToV(spark, Seq(tinyRmat),
       Seq(RandomisedContraction(), repro.baselines.TwoPhase))
-    assert(res.map(r => (r.dataset, r.algo)).toSet ==
-      Set(("tiny-rmat", "RC"), ("tiny-rmat", "TP")))
-    assert(res.forall(_.status == "ok"))
+    val tables = report.tables.map(t => t.file -> t.text).toMap
+    for (f <- Seq("table3_runtimes.txt", "table4_maxspace.txt", "table5_written.txt")) {
+      val lines = tables(f).linesIterator.toSeq
+      assert(lines.size == 3, s"$f: header + separator + 1 dataset row")
+      assert(lines.last.startsWith("tiny-rmat"))
+      assert(!lines.last.contains("BAD") && !lines.last.contains("—"))
+    }
+    val cells = tables("tables345_raw.tsv").linesIterator.drop(1).map(_.split('\t')).toSeq
+    assert(cells.map(c => (c(0), c(1), c(2))).toSet ==
+      Set(("tiny-rmat", "RC", "ok"), ("tiny-rmat", "TP", "ok")))
+    assert(report.checks.find(_.name == "no-bad-cell").exists(_.passed))
+    // Dataset-specific checks (HM on Path100M, the Candels series) do not apply.
+    assert(report.checks.map(_.name).toSet ==
+      Set("no-bad-cell", "rc-always-ok", "tp-least-max-space"))
+  }
+
+  test("a wrong labelling in the sweep is a failed named check") {
+    val report = PaperTables.tablesIIIToV(spark, Seq(twoPaths), Seq(MovesOneVertex))
+    assert(report.tables.head.text.linesIterator.toSeq.last.contains("BAD"))
+    assert(report.failed.map(_.name) == Seq("no-bad-cell"))
+    assert(report.failed.head.detail.contains("(two-paths,stub)"))
   }
 
   test("capRows scales with input but has a floor") {
