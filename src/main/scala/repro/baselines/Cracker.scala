@@ -31,7 +31,6 @@ case object Cracker extends CcAlgorithm {
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
     val spark = edges.sparkSession
     val raw   = GraphOps.asEdges(edges)
-    val verts = GraphOps.vertices(raw).localCheckpoint(true)
 
     // Bidirectional, loop-free working graph.
     val (g0, g0Rows) = tracker.materialize("G", GraphOps.undirect(GraphOps.canonical(raw)))
@@ -91,8 +90,7 @@ case object Cracker extends CcAlgorithm {
       changed == 0L
     }
 
-    val labels = verts.join(p.select(col("child").as("v"), col("parent").as("r")), Seq("v"), "left_outer")
-      .select(col("v"), coalesce(col("r"), col("v")).as("r"))
-    CcRun(labels, rounds, tracker)
+    CcRun(GraphOps.labelEveryVertex(raw, p.select(col("child").as("v"), col("parent").as("r"))),
+      rounds, tracker)
   }
 }

@@ -26,8 +26,7 @@ case object GraphSquaring extends CcAlgorithm {
   }
 
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
-    val raw   = GraphOps.asEdges(edges)
-    val verts = GraphOps.vertices(raw).localCheckpoint(true)
+    val raw = GraphOps.asEdges(edges)
     var (e, eRows) = tracker.materialize("E", GraphOps.canonical(raw))
     val rounds = if (eRows == 0L) 0 else loop(100) { _ =>
       val (ne, neRows) = tracker.materialize("E", square(e))
@@ -40,8 +39,6 @@ case object GraphSquaring extends CcAlgorithm {
     // In the transitive closure, min over the closed neighbourhood is the
     // component minimum.
     val m = GraphOps.undirect(e).groupBy(col("v")).agg(least(col("v"), min(col("w"))).as("r"))
-    val labels = verts.join(m, Seq("v"), "left_outer")
-      .select(col("v"), coalesce(col("r"), col("v")).as("r"))
-    CcRun(labels, rounds, tracker)
+    CcRun(GraphOps.labelEveryVertex(raw, m), rounds, tracker)
   }
 }

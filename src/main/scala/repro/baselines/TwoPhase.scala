@@ -41,8 +41,7 @@ case object TwoPhase extends CcAlgorithm {
   }
 
   override def run(edges: DataFrame, tracker: SpaceTracker, seed: Long): CcRun = {
-    val raw   = GraphOps.asEdges(edges)
-    val verts = GraphOps.vertices(raw).localCheckpoint(true)
+    val raw = GraphOps.asEdges(edges)
     var (e, eRows) = tracker.materialize("E", GraphOps.canonical(raw))
     // Each step is two rounds: one large-star and one small-star.
     val rounds = if (eRows == 0L) 0 else 2 * loop(10000) { _ =>
@@ -55,9 +54,7 @@ case object TwoPhase extends CcAlgorithm {
       unchanged
     }
     // Fixpoint edges are (leaf, centre) stars; every non-centre has one parent.
-    val parents = e.groupBy(col("v")).agg(min(col("w")).as("p"))
-    val labels = verts.join(parents, Seq("v"), "left_outer")
-      .select(col("v"), coalesce(col("p"), col("v")).as("r"))
-    CcRun(labels, rounds, tracker)
+    val parents = e.groupBy(col("v")).agg(min(col("w")).as("r"))
+    CcRun(GraphOps.labelEveryVertex(raw, parents), rounds, tracker)
   }
 }

@@ -73,7 +73,7 @@ sealed trait AffineRoundHash extends ColumnHash {
 case object FiniteField64 extends AffineRandomisation {
   val name = "gf64"
   final case class Round(a: Long, b: Long) extends AffineRoundHash {
-    def hash(x: Column): Column = call_function("gf64_axb", lit(a), x.cast("long"), lit(b))
+    def hash(x: Column): Column = call_function("gf64_axb", lit(a), x, lit(b))
     /** Fig. 4 accumulator step: (A,B) ← (A·α, A·β + B) over GF(2^64). */
     def compose(inner: AffineRoundHash): AffineRoundHash =
       Round(Gf64.axb(a, inner.a, 0L), Gf64.axb(a, inner.b, b))
@@ -86,12 +86,19 @@ case object FiniteField64 extends AffineRandomisation {
 }
 
 /** Finite fields method over GF(p), p = 2^31 − 1 — the paper's "SQL-only"
-  * alternative (plain modular arithmetic, no UDF). Vertex IDs must be < p.
+  * alternative (plain modular arithmetic, no UDF). Vertex IDs must lie in
+  * [0, p): outside it a·x can overflow, or x hashes like x ± p and two
+  * components could merge, so such an ID fails the query, naming the ID.
   */
 case object FinitePrimeField extends AffineRandomisation {
   val name = "modp"
   final case class Round(a: Long, b: Long) extends AffineRoundHash {
-    def hash(x: Column): Column = pmod(lit(a) * x.cast("long") + lit(b), lit(ModP.P))
+    def hash(x: Column): Column = {
+      val id = x.cast("long")
+      val inField = when(id < 0L || id >= ModP.P, raise_error(concat(lit("vertex ID "),
+        id.cast("string"), lit(" outside [0, 2^31 - 1): the GF(p) method needs small IDs")))).otherwise(id)
+      pmod(lit(a) * inField + lit(b), lit(ModP.P))
+    }
     def compose(inner: AffineRoundHash): AffineRoundHash =
       Round(a * inner.a % ModP.P, (a * inner.b + b) % ModP.P)
   }
@@ -109,9 +116,7 @@ case object FinitePrimeField extends AffineRandomisation {
 case object Encryption extends Randomisation {
   val name = "xtea"
   final case class Round(k0: Int, k1: Int, k2: Int, k3: Int) extends ColumnHash {
-    def hash(x: Column): Column =
-      call_function("xtea_enc", x.cast("long"),
-        lit(k0.toLong), lit(k1.toLong), lit(k2.toLong), lit(k3.toLong))
+    def hash(x: Column): Column = call_function("xtea_enc", x, lit(k0), lit(k1), lit(k2), lit(k3))
   }
   def nextRound(rng: Random): Round = Round(rng.nextInt(), rng.nextInt(), rng.nextInt(), rng.nextInt())
 }

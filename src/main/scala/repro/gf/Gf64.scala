@@ -35,6 +35,11 @@ object Gf64 {
     r ^ b
   }
 
+  /** x ↦ a*x + b for one fixed (a, b): a round's h as a value a plan can hold. */
+  final case class Affine(a: Long, b: Long) {
+    def apply(x: Long): Long = axb(a, x, b)
+  }
+
   /** Field multiplication. */
   def mul(a: Long, x: Long): Long = axb(a, x, 0L)
 

@@ -32,6 +32,11 @@ object Xtea {
     (v0.toLong << 32) | (v1.toLong & 0xffffffffL)
   }
 
+  /** Encryption under one fixed key: a round's h as a value a plan can hold. */
+  final case class Key(k0: Int, k1: Int, k2: Int, k3: Int) {
+    def apply(block: Long): Long = encrypt(block, k0, k1, k2, k3)
+  }
+
   /** Decrypt a 64-bit block under key (k0..k3). Inverse of [[encrypt]]. */
   def decrypt(block: Long, k0: Int, k1: Int, k2: Int, k3: Int): Long = {
     val key = Array(k0, k1, k2, k3)

@@ -34,6 +34,14 @@ object GraphOps {
   def vertices(edges: DataFrame): DataFrame =
     edges.select(col(V)).union(edges.select(col(W).as(V))).distinct()
 
+  /** Label every vertex of `edges`: its `r` in `labels` (v, r), or itself
+    * when `labels` has no row for it (a component root, or a vertex with
+    * only loop edges). Lazy: nothing is materialised or charged.
+    */
+  def labelEveryVertex(edges: DataFrame, labels: DataFrame): DataFrame =
+    vertices(edges).join(labels, Seq(V), "left_outer")
+      .select(col(V), coalesce(col("r"), col(V)).as("r"))
+
   /** Canonical undirected form: each edge once as (min, max), loops dropped. */
   def canonical(edges: DataFrame): DataFrame =
     edges

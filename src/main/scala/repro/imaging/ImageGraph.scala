@@ -2,7 +2,9 @@ package repro.imaging
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.FiniteField64
 import repro.gf.GfFunctions
+import scala.util.Random
 
 /** Image/video → graph conversion (paper §VII-A).
   *
@@ -61,12 +63,8 @@ object ImageGraph {
   /** Fixed GF(2^64) bijection used to scramble pixel IDs. */
   def randomizeIds(df: DataFrame, cols: Seq[String], seed: Long): DataFrame = {
     GfFunctions.ensureRegistered(df.sparkSession)
-    val rng = new scala.util.Random(seed)
-    var a   = 0L
-    while (a == 0L) a = rng.nextLong()
-    val b = rng.nextLong()
-    cols.foldLeft(df)((d, c) =>
-      d.withColumn(c, call_function("gf64_axb", lit(a), col(c).cast("long"), lit(b))))
+    val h = FiniteField64.nextRound(new Random(seed))
+    cols.foldLeft(df)((d, c) => d.withColumn(c, h.hash(col(c))))
   }
 
   /** 2D image graph: 4-connectivity, |intensity diff| <= threshold.

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.ReproSpec
+import repro.gf.ModP
 import repro.graph.GraphOps
 import repro.testutil.Graphs
 
@@ -30,6 +31,23 @@ class RandomisedContractionSpec extends ReproSpec {
     test(s"$cfgName labels ${g.name} correctly") {
       val run = RandomisedContraction(method, variant).run(Graphs.toDf(spark, g.edges), seed = 5L)
       Graphs.assertPartition(run.labels, g.edges)
+    }
+  }
+
+  // GF(p) is a bijection on [0, p) only: an ID outside it could overflow
+  // a·x or hash like x ± p and merge two components, so the run must fail
+  // and name the ID.
+  for ((cfgName, method, variant, needsSmallIds) <- configs if needsSmallIds;
+       g <- Graphs.zoo if !g.smallIds) {
+    test(s"$cfgName rejects ${g.name}, naming an ID outside [0, 2^31 - 1)") {
+      val bad = g.edges.flatMap(e => Seq(e._1, e._2)).filter(x => x < 0L || x >= ModP.P).toSet
+      val e = intercept[Exception] {
+        RandomisedContraction(method, variant).run(Graphs.toDf(spark, g.edges), seed = 5L)
+      }
+      val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .map(x => String.valueOf(x.getMessage)).toSeq
+      assert(messages.exists(m => m.contains("outside [0, 2^31 - 1)") &&
+        bad.exists(id => m.contains(s"vertex ID $id "))), e)
     }
   }
 
